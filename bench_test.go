@@ -28,8 +28,6 @@ import (
 	"vlasov6d/internal/plasma"
 	"vlasov6d/internal/poisson"
 	"vlasov6d/internal/tree"
-	"vlasov6d/internal/treepm"
-	"vlasov6d/internal/units"
 	"vlasov6d/internal/vlasov"
 )
 
@@ -382,25 +380,6 @@ func benchTreeKernel(b *testing.B, scalar bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tr.Accel([3]float64{50, 50, 50})
-	}
-}
-
-// BenchmarkTreePMForce times the full force evaluation (PM + tree).
-func BenchmarkTreePMForce(b *testing.B) {
-	p := phantomParticles(b, 4096)
-	s, err := treepm.New(treepm.Config{Mesh: [3]int{32, 32, 32}, Box: [3]float64{100, 100, 100}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var acc [3][]float64
-	for d := 0; d < 3; d++ {
-		acc[d] = make([]float64, p.N)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Accel(p, nil, 4*math.Pi*units.G, 1, acc); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -3,8 +3,8 @@
 // facade exposes:
 //
 //	Run       — one solver, one driver loop (internal/runner);
-//	RunBatch  — a fixed slice of named jobs over a worker pool, results in
-//	            job order (this package's batch layer);
+//	RunBatch  — a fixed slice of named jobs run on a private Stream,
+//	            results in job order (this package's batch layer);
 //	Stream    — a long-lived, channel-fed scheduler: jobs are submitted
 //	            while earlier ones run, dispatched by priority, retried on
 //	            transient failure, and drained gracefully on Close or
@@ -15,9 +15,11 @@
 // ROADMAP's north star is a service that accepts work continuously rather
 // than one hand-launched binary at a time. A batch is a slice of named
 // Jobs, each a solver *factory* plus run options; a stream accepts the same
-// Jobs one Submit at a time. Both execute on a bounded worker pool
-// (default GOMAXPROCS) under one shared context and, optionally, one shared
-// wall-clock budget.
+// Jobs one Submit at a time. There is one worker pool, the Stream's
+// (default GOMAXPROCS): a batch submits its jobs in order to a private
+// Stream whose pool is capped at the job count, closes it and collects the
+// results. Either way the jobs run under one shared context and,
+// optionally, one shared wall-clock budget.
 //
 // Batch semantics:
 //
@@ -93,7 +95,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"vlasov6d/internal/runner"
@@ -318,7 +319,7 @@ func WithNotify(fn func(Update)) Option {
 //
 // Phases:
 //
-//	"queue"    — submission to dispatch (stream layer only; Attempt 0)
+//	"queue"    — submission to dispatch (Attempt 0)
 //	"dispatch" — worker pickup to first solver step: core-lease acquisition
 //	             plus solver construction or checkpoint restore, per attempt
 //	"backoff"  — the retry delay between two attempts, tagged with the
@@ -338,7 +339,9 @@ type PhaseEvent struct {
 }
 
 // WithPhaseNotify registers a callback for completed scheduler phases —
-// queue wait, per-attempt dispatch latency, retry backoff. Unlike
+// queue wait, per-attempt dispatch latency, retry backoff. Batch jobs run
+// on a Stream too, so they also emit a "queue" phase: from Run's
+// submission of the job to a worker picking it up. Unlike
 // WithNotify the calls are not serialised: fn runs on whichever worker
 // goroutine finished the phase and must be safe for concurrent use and
 // cheap (a histogram observation, a span append — not I/O).
@@ -515,86 +518,40 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-
-	var deadline time.Time
-	if s.opts.wall > 0 {
-		deadline = time.Now().Add(s.opts.wall)
+	// The batch runs on a private Stream: its pool, budget and wall-clock
+	// deadline live exactly as long as this call.
+	st, err := NewStream(ctx, func(o *options) {
+		*o = s.opts
+		o.workers = workers
+	})
+	if err != nil {
+		return nil, err
 	}
-	// One core budget per batch: the live-job set is this batch's running
-	// jobs, and the budget dies with the Run call.
-	var budget *CoreBudget
-	if s.opts.budgetSet {
-		budget = NewCoreBudget(s.opts.budget)
+	// Submission ids start at zero, so they are the job indices. Priority is
+	// zeroed because a slice is already an explicit order. Jobs were
+	// validated above, so Submit fails only once ctx is cancelled.
+	submitted := 0
+	for _, j := range jobs {
+		j.Priority = 0
+		if st.Submit(j) != nil {
+			break
+		}
+		submitted++
 	}
-
+	st.Close()
 	results := make([]Result, len(jobs))
-	for i, j := range jobs {
-		results[i] = Result{ID: i, Name: j.Name, Status: Queued}
+	for r := range st.Results() {
+		results[r.ID] = r
 	}
-
-	var mu sync.Mutex // guards results transitions and serialises notify
-	transition := func(i int, st Status, attempt int, rep *runner.Report, err error) {
-		mu.Lock()
-		results[i].Status = st
-		results[i].Attempt = attempt
-		results[i].Report = rep
-		results[i].Err = err
-		fn := s.opts.notify
-		if fn != nil {
-			fn(Update{Index: i, Name: jobs[i].Name, Status: st, Attempt: attempt, Err: err, Report: rep})
+	// Jobs never submitted (context cancelled mid-submission) are Cancelled
+	// without constructing their solvers.
+	for i := submitted; i < len(jobs); i++ {
+		results[i] = Result{ID: i, Name: jobs[i].Name, Status: Cancelled}
+		if s.opts.notify != nil {
+			s.opts.notify(Update{Index: i, Name: jobs[i].Name, Status: Cancelled})
 		}
-		mu.Unlock()
 	}
-
-	// Work distribution: a closed channel of job indices. Workers stop
-	// pulling as soon as the context dies; the post-wait sweep below marks
-	// whatever they never picked up.
-	idx := make(chan int)
-	go func() {
-		defer close(idx)
-		for i := range jobs {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				i := i
-				var emit phaseEmitter
-				if s.opts.phaseNotify != nil {
-					emit = func(phase string, attempt int, start, end time.Time) {
-						s.opts.phaseNotify(PhaseEvent{Index: i, Name: jobs[i].Name,
-							Phase: phase, Attempt: attempt, Start: start, End: end})
-					}
-				}
-				executeJob(ctx, &s.opts, budget, jobs[i], deadline,
-					func(st Status, attempt int, rep *runner.Report, err error) {
-						transition(i, st, attempt, rep, err)
-					}, emit)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Jobs the dispatcher never handed out (context cancelled) are still
-	// Queued: mark them Cancelled so every Result reaches a final state.
 	if err := ctx.Err(); err != nil {
-		for i := range results {
-			mu.Lock()
-			queued := results[i].Status == Queued
-			mu.Unlock()
-			if queued {
-				transition(i, Cancelled, 0, nil, nil)
-			}
-		}
 		return results, fmt.Errorf("sched: batch cancelled: %w", err)
 	}
 	return results, nil

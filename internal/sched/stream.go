@@ -1,8 +1,9 @@
-// The stream layer: a long-lived, channel-fed scheduler over the same
-// worker pool and job executor as the batch layer. Where RunBatch takes a
-// fixed slice and returns when it is done, a Stream accepts Submit calls
-// for as long as it is open — the shape of a service that feeds simulation
-// work to a pool continuously, the ROADMAP's "scheduler job streams" item.
+// The stream layer: a long-lived, channel-fed scheduler and the package's
+// only worker pool. A Stream accepts Submit calls for as long as it is
+// open — the shape of a service that feeds simulation work to a pool
+// continuously, the ROADMAP's "scheduler job streams" item. The batch
+// layer is a client of it: RunBatch submits its fixed slice to a private
+// Stream, closes it and waits for the drain.
 package sched
 
 import (

@@ -141,6 +141,14 @@ func TestSSEResumeContiguous(t *testing.T) {
 		st = pollStatus(t, ts.URL, id, "running")
 	}
 
+	// The job emits a diag event every few milliseconds, so the eta poll
+	// alone does not guarantee the ring has grown past lastID. Watch from
+	// the start (no Last-Event-ID, so nothing counts as a replay) until it
+	// has; the resume below then has at least one event to replay.
+	resp = openSSE(t, ts.URL, id, 0)
+	readSSE(resp.Body, func(ev sseEvt) bool { return ev.id <= lastID })
+	resp.Body.Close()
+
 	// Reconnect with Last-Event-ID: the replay must pick up at exactly
 	// lastID+1 — nothing skipped, nothing repeated, no gap.
 	resp = openSSE(t, ts.URL, id, lastID)
