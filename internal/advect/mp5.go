@@ -1,17 +1,12 @@
 package advect
 
-import (
-	"fmt"
-	"math"
-)
-
 // MP5 is the conventional comparator of §5.2: the Suresh–Huynh (1997)
 // fifth-order monotonicity-preserving finite-difference scheme advanced with
 // the three-stage TVD Runge–Kutta integrator of Shu & Osher (1988). It
 // requires THREE flux evaluations per step and a CFL restriction, which is
 // exactly the cost the paper's single-stage SL-MPP5 eliminates.
 type MP5 struct {
-	s1, s2, rhs []float64
+	s1, s2, rhs, pad []float64
 }
 
 // NewMP5 returns a new MP5+RK3 scheme.
@@ -32,11 +27,8 @@ func (m *MP5) Clone() Scheme { return &MP5{} }
 // Step advances a periodic line by one step of SSP-RK3 with CFL c (|c| ≤ 1).
 func (m *MP5) Step(f []float64, c float64) error {
 	n := len(f)
-	if n < 6 {
-		return fmt.Errorf("mp5: line length %d < 6", n)
-	}
-	if math.Abs(c) > m.MaxCFL() {
-		return fmt.Errorf("mp5: CFL %v exceeds %v", c, m.MaxCFL())
+	if err := checkLine("mp5", n, 6, c, m.MaxCFL()); err != nil {
+		return err
 	}
 	if cap(m.s1) < n {
 		m.s1 = make([]float64, n)
@@ -67,6 +59,10 @@ func (m *MP5) Step(f []float64, c float64) error {
 // the upwind-biased MP5 interface reconstruction.
 func (m *MP5) rhsMP5(f []float64, c float64, rhs []float64) {
 	n := len(f)
+	// The five-cell stencil of interface i−1/2 reaches three cells beyond
+	// either end of the line.
+	const g = 3
+	p := padLine(&m.pad, f, g, true)
 	// fhat[i] is the interface value at i−1/2 (between cells i−1 and i).
 	// Build it upwind: for c > 0 reconstruct from the left cell i−1's
 	// stencil; for c < 0 mirror.
@@ -74,15 +70,11 @@ func (m *MP5) rhsMP5(f []float64, c float64, rhs []float64) {
 	for i := 0; i <= n; i++ {
 		var fh float64
 		if c >= 0 {
-			j := i - 1
-			fh = reconstructMP5(
-				periodicAt(f, j-2), periodicAt(f, j-1), periodicAt(f, j),
-				periodicAt(f, j+1), periodicAt(f, j+2))
+			j := g + i - 1
+			fh = reconstructMP5(p[j-2], p[j-1], p[j], p[j+1], p[j+2])
 		} else {
-			j := i
-			fh = reconstructMP5(
-				periodicAt(f, j+2), periodicAt(f, j+1), periodicAt(f, j),
-				periodicAt(f, j-1), periodicAt(f, j-2))
+			j := g + i
+			fh = reconstructMP5(p[j+2], p[j+1], p[j], p[j-1], p[j-2])
 		}
 		if i > 0 {
 			rhs[i-1] = -c * (fh - prev)

@@ -30,7 +30,7 @@ import (
 // mass, which (for the constant-velocity lines produced by directional
 // splitting) guarantees f ≥ 0 exactly while conserving mass to round-off.
 type SLMPP5 struct {
-	flux []float64
+	pad, flux []float64
 	// Limiting can be disabled for order-of-accuracy studies.
 	DisableMP bool
 	DisablePP bool
@@ -54,101 +54,104 @@ func (s *SLMPP5) Clone() Scheme {
 	return &SLMPP5{DisableMP: s.DisableMP, DisablePP: s.DisablePP}
 }
 
-// Step advances a periodic line by CFL number c (any magnitude, any sign).
-func (s *SLMPP5) Step(f []float64, c float64) error {
-	n := len(f)
-	if n < 6 {
-		return fmt.Errorf("slmpp5: line length %d < 6", n)
-	}
-	if math.IsNaN(c) || math.IsInf(c, 0) {
-		return fmt.Errorf("slmpp5: invalid CFL %v", c)
-	}
-	if cap(s.flux) < n+1 {
-		s.flux = make([]float64, n+1)
-	}
-	fl := s.flux[:n+1]
-	s.Fluxes(f, c, fl, periodicAt)
-	for i := 0; i < n; i++ {
-		f[i] -= fl[i+1] - fl[i]
-	}
-	return nil
-}
-
-// periodicAt indexes f periodically.
-func periodicAt(f []float64, i int) float64 { return f[mod(i, len(f))] }
-
-// zeroAt indexes f with zero (vacuum) boundary values, used for the open
-// velocity-space boundaries where the distribution function has compact
-// support.
-func zeroAt(f []float64, i int) float64 {
-	if i < 0 || i >= len(f) {
-		return 0
-	}
-	return f[i]
-}
+// Step advances a periodic line by CFL number c (any sign, ⌈|c|⌉ ≤ len(f)).
+func (s *SLMPP5) Step(f []float64, c float64) error { return s.step(f, c, true) }
 
 // StepOpen advances a line with vacuum (zero-inflow) boundaries, as used
 // along the velocity axes: f has compact support and mass leaving the grid
 // through the boundary is lost (and accounted by the caller).
-func (s *SLMPP5) StepOpen(f []float64, c float64) error {
-	n := len(f)
-	if n < 6 {
-		return fmt.Errorf("slmpp5: line length %d < 6", n)
+func (s *SLMPP5) StepOpen(f []float64, c float64) error { return s.step(f, c, false) }
+
+// step copies f into the scheme's padded scratch line with periodic or
+// vacuum ghosts and advances f from it.
+func (s *SLMPP5) step(f []float64, c float64, periodic bool) error {
+	if err := checkLine("slmpp5", len(f), 6, c, 0); err != nil {
+		return err
 	}
+	g := ghostWidth(c)
+	s.advance(f, padLine(&s.pad, f, g, periodic), g, c)
+	return nil
+}
+
+// StepPadded advances the interior p[g : len(p)−g] of a line whose g ghost
+// cells on each side the caller has filled (for example from a neighbouring
+// rank's planes). A step with CFL number c reads
+//
+//	w(c) = ⌈|c|⌉ + 2
+//
+// ghost cells on each side: for c > 0 the interface fluxes reach down to
+// cell i−⌊c⌋−3 and for c < 0 up to cell i+⌊|c|⌋+2, for interfaces
+// i = 0…n. StepPadded rejects g < w(c), like a non-finite c or
+// ⌈|c|⌉ > n, with p unchanged; it never writes the ghosts.
+func (s *SLMPP5) StepPadded(p []float64, g int, c float64) error {
+	n := len(p) - 2*g
+	if err := checkLine("slmpp5", n, 1, c, 0); err != nil {
+		return err
+	}
+	if w := ghostWidth(c); g < w {
+		return fmt.Errorf("slmpp5: %d ghost cells < %d needed at CFL %v", g, w, c)
+	}
+	s.advance(p[g:g+n], p, g, c)
+	return nil
+}
+
+// ghostWidth is w(c) = ⌈|c|⌉ + 2, the ghost cells a step at CFL c reads on
+// each side of the line.
+func ghostWidth(c float64) int { return int(math.Ceil(math.Abs(c))) + 2 }
+
+// advance applies the conservative update f_i −= Φ_{i+1/2} − Φ_{i−1/2} to
+// the n = len(f) cells whose values, with their ghosts, p holds from
+// offset g. fl[i] = Φ_{i−1/2} is the mass crossing the left interface of
+// cell i, positive rightward. f may alias p[g : g+n]: every flux is formed
+// before any cell changes.
+func (s *SLMPP5) advance(f, p []float64, g int, c float64) {
+	n := len(f)
 	if cap(s.flux) < n+1 {
 		s.flux = make([]float64, n+1)
 	}
 	fl := s.flux[:n+1]
-	s.Fluxes(f, c, fl, zeroAt)
-	for i := 0; i < n; i++ {
-		f[i] -= fl[i+1] - fl[i]
-	}
-	return nil
-}
-
-// Fluxes fills fl[0..n] with the interface fluxes Φ_{i−1/2} for i = 0..n,
-// using at(f, j) to fetch (possibly out-of-range) cell values. fl[i] is the
-// mass crossing the left interface of cell i, positive rightward.
-func (s *SLMPP5) Fluxes(f []float64, c float64, fl []float64, at func([]float64, int) float64) {
-	n := len(f)
 	if c >= 0 {
 		sh := int(math.Floor(c))
 		xi := c - float64(sh)
 		for i := 0; i <= n; i++ {
 			// Interface i−1/2: whole upstream cells i−sh … i−1.
 			sum := 0.0
-			for j := i - sh; j <= i-1; j++ {
-				sum += at(f, j)
+			for _, v := range p[g+i-sh : g+i] {
+				sum += v
 			}
-			k := i - sh - 1 // partially swept donor cell
-			sum += s.fracRight(f, k, xi, at)
+			k := g + i - sh - 1 // partially swept donor cell
+			sum += s.fracRight(p, k, xi)
 			fl[i] = sum
 		}
-		return
-	}
-	cc := -c
-	sh := int(math.Floor(cc))
-	eta := cc - float64(sh)
-	for i := 0; i <= n; i++ {
-		// Interface i−1/2 with leftward transport: whole cells i … i+sh−1
-		// cross to the left, plus the left fraction of cell i+sh.
-		sum := 0.0
-		for j := i; j <= i+sh-1; j++ {
-			sum += at(f, j)
+	} else {
+		cc := -c
+		sh := int(math.Floor(cc))
+		eta := cc - float64(sh)
+		for i := 0; i <= n; i++ {
+			// Interface i−1/2 with leftward transport: whole cells
+			// i … i+sh−1 cross to the left, plus the left fraction of cell
+			// i+sh.
+			sum := 0.0
+			for _, v := range p[g+i : g+i+sh] {
+				sum += v
+			}
+			k := g + i + sh
+			sum += s.fracLeft(p, k, eta)
+			fl[i] = -sum
 		}
-		k := i + sh
-		sum += s.fracLeft(f, k, eta, at)
-		fl[i] = -sum
+	}
+	for i := 0; i < n; i++ {
+		f[i] -= fl[i+1] - fl[i]
 	}
 }
 
-// fracRight returns the mass in the rightmost fraction ξ of cell k,
-// reconstructed at fifth order and limited.
-func (s *SLMPP5) fracRight(f []float64, k int, xi float64, at func([]float64, int) float64) float64 {
+// fracRight returns the mass in the rightmost fraction ξ of cell k of the
+// padded line p, reconstructed at fifth order and limited.
+func (s *SLMPP5) fracRight(p []float64, k int, xi float64) float64 {
 	if xi <= 0 {
 		return 0
 	}
-	fk := at(f, k)
+	fk := p[k]
 	if xi >= 1 {
 		return fk
 	}
@@ -156,34 +159,33 @@ func (s *SLMPP5) fracRight(f []float64, k int, xi float64, at func([]float64, in
 	var w [6]float64
 	acc := 0.0
 	for m := 1; m <= 5; m++ {
-		acc += at(f, k-3+m)
+		acc += p[k-3+m]
 		w[m] = acc
 	}
 	// Interface k+1/2 is node m = 3; departure point is t = 3 − ξ.
 	raw := w[3] - quintic(&w, 3-xi)
-	return s.limitFrac(raw, xi, fk,
-		at(f, k-2), at(f, k-1), fk, at(f, k+1), at(f, k+2))
+	return s.limitFrac(raw, xi, fk, p[k-2], p[k-1], fk, p[k+1], p[k+2])
 }
 
-// fracLeft returns the mass in the leftmost fraction η of cell k.
-func (s *SLMPP5) fracLeft(f []float64, k int, eta float64, at func([]float64, int) float64) float64 {
+// fracLeft returns the mass in the leftmost fraction η of cell k of the
+// padded line p.
+func (s *SLMPP5) fracLeft(p []float64, k int, eta float64) float64 {
 	if eta <= 0 {
 		return 0
 	}
-	fk := at(f, k)
+	fk := p[k]
 	if eta >= 1 {
 		return fk
 	}
 	var w [6]float64
 	acc := 0.0
 	for m := 1; m <= 5; m++ {
-		acc += at(f, k-3+m)
+		acc += p[k-3+m]
 		w[m] = acc
 	}
 	// Interface k−1/2 is node m = 2; integrate rightward a distance η.
 	raw := quintic(&w, 2+eta) - w[2]
-	return s.limitFrac(raw, eta, fk,
-		at(f, k+2), at(f, k+1), fk, at(f, k-1), at(f, k-2))
+	return s.limitFrac(raw, eta, fk, p[k+2], p[k+1], fk, p[k-1], p[k-2])
 }
 
 // limitFrac applies the MP constraint to the swept average raw/xi and the

@@ -1,10 +1,5 @@
 package advect
 
-import (
-	"fmt"
-	"math"
-)
-
 // Upwind1 is the first-order donor-cell scheme, the most diffusive baseline.
 type Upwind1 struct{ buf []float64 }
 
@@ -25,25 +20,18 @@ func (u *Upwind1) Clone() Scheme { return &Upwind1{} }
 
 // Step implements Scheme.
 func (u *Upwind1) Step(f []float64, c float64) error {
-	n := len(f)
-	if n < 2 {
-		return fmt.Errorf("upwind1: line length %d < 2", n)
+	if err := checkLine("upwind1", len(f), 2, c, u.MaxCFL()); err != nil {
+		return err
 	}
-	if math.Abs(c) > 1 {
-		return fmt.Errorf("upwind1: CFL %v exceeds 1", c)
-	}
-	if cap(u.buf) < n {
-		u.buf = make([]float64, n)
-	}
-	buf := u.buf[:n]
-	copy(buf, f)
+	// Cell i of f is p[i+1].
+	p := padLine(&u.buf, f, 1, true)
 	if c >= 0 {
-		for i := 0; i < n; i++ {
-			f[i] = buf[i] - c*(buf[i]-buf[mod(i-1, n)])
+		for i := range f {
+			f[i] = p[i+1] - c*(p[i+1]-p[i])
 		}
 	} else {
-		for i := 0; i < n; i++ {
-			f[i] = buf[i] - c*(buf[mod(i+1, n)]-buf[i])
+		for i := range f {
+			f[i] = p[i+1] - c*(p[i+2]-p[i+1])
 		}
 	}
 	return nil
@@ -71,22 +59,14 @@ func (l *LaxWendroff2) Clone() Scheme { return &LaxWendroff2{} }
 
 // Step implements Scheme.
 func (l *LaxWendroff2) Step(f []float64, c float64) error {
-	n := len(f)
-	if n < 3 {
-		return fmt.Errorf("laxwendroff2: line length %d < 3", n)
+	if err := checkLine("laxwendroff2", len(f), 3, c, l.MaxCFL()); err != nil {
+		return err
 	}
-	if math.Abs(c) > 1 {
-		return fmt.Errorf("laxwendroff2: CFL %v exceeds 1", c)
-	}
-	if cap(l.buf) < n {
-		l.buf = make([]float64, n)
-	}
-	buf := l.buf[:n]
-	copy(buf, f)
-	for i := 0; i < n; i++ {
-		fm := buf[mod(i-1, n)]
-		fp := buf[mod(i+1, n)]
-		f[i] = buf[i] - 0.5*c*(fp-fm) + 0.5*c*c*(fp-2*buf[i]+fm)
+	// Cell i of f is p[i+1].
+	p := padLine(&l.buf, f, 1, true)
+	for i := range f {
+		fm, f0, fp := p[i], p[i+1], p[i+2]
+		f[i] = f0 - 0.5*c*(fp-fm) + 0.5*c*c*(fp-2*f0+fm)
 	}
 	return nil
 }

@@ -2,9 +2,12 @@
 // top of the mpisim runtime: the spatial grid is split evenly along each
 // axis across a Cartesian process grid while VELOCITY SPACE IS NEVER
 // DECOMPOSED — each rank holds complete velocity cubes, so all moments stay
-// communication-free. Position-space advection exchanges three ghost planes
-// (the SL-MPP5 stencil half-width) with the two neighbours along the sweep
-// axis; interface fluxes are computed from identical stencil data on both
+// communication-free. Position-space advection exchanges GhostWidth = 3
+// ghost planes with the two neighbours along the sweep axis and hands each
+// padded line to advect.SLMPP5.StepPadded. A step at CFL c reads
+// w(c) = ⌈|c|⌉ + 2 ghost cells per side, so three planes cover exactly the
+// |c| ≤ 1 drifts DriftAxis accepts (w(1) = 3); Drift sub-steps anything
+// faster. Interface fluxes are computed from identical stencil data on both
 // sides, so global mass conservation holds to round-off.
 //
 // The package also provides the distributed FFT used by the PM part: ranks
@@ -22,7 +25,7 @@ import (
 	"vlasov6d/internal/phase"
 )
 
-// GhostWidth is the stencil half-width of SL-MPP5 for |CFL| ≤ 1.
+// GhostWidth is the ghost depth SL-MPP5 reads at |CFL| ≤ 1: w(1) = 3.
 const GhostWidth = 3
 
 // Block is one rank's piece of the global phase-space grid.
@@ -173,8 +176,7 @@ func (b *Block) DriftAxis(axis int, dt, a float64) error {
 	n := b.localN(axis)
 	nc := g.NCube()
 	planeCells := g.NCells() / n
-	nu := g.NU
-	nud := nu[axis] // velocity index along the same axis drives the CFL
+	nud := g.NU[axis] // velocity index along the same axis drives the CFL
 	cfl := make([]float64, nud)
 	for j := 0; j < nud; j++ {
 		cfl[j] = g.U(axis, j) * dt / (a * a * dx)
@@ -182,7 +184,6 @@ func (b *Block) DriftAxis(axis int, dt, a float64) error {
 	// For each perpendicular cell column p (index within a plane) and cube
 	// element e, assemble the padded line and update in place.
 	padded := make([]float64, n+2*GhostWidth)
-	flux := make([]float64, n+1)
 	// Cell offsets along the line for column p: need the flat cell index at
 	// (line position i, column p). Build a lookup per column.
 	colCells := make([][]int, planeCells)
@@ -198,15 +199,10 @@ func (b *Block) DriftAxis(axis int, dt, a float64) error {
 			p++
 		})
 	}
-	at := func(f []float64, j int) float64 {
-		return padded[j+GhostWidth]
-	}
-	interior := padded[GhostWidth : GhostWidth+n]
 	for p := 0; p < planeCells; p++ {
 		cells := colCells[p]
 		for e := 0; e < nc; e++ {
-			j := velIndexAlong(axis, e, nu)
-			c := cfl[j]
+			c := cfl[g.VelIndexAlong(axis, e)]
 			if c == 0 {
 				continue
 			}
@@ -217,10 +213,11 @@ func (b *Block) DriftAxis(axis int, dt, a float64) error {
 				padded[k] = float64(lo[(k*planeCells+p)*nc+e])
 				padded[GhostWidth+n+k] = float64(hi[(k*planeCells+p)*nc+e])
 			}
-			b.open.Fluxes(interior, c, flux, at)
+			if err := b.open.StepPadded(padded, GhostWidth, c); err != nil {
+				return err
+			}
 			for i := 0; i < n; i++ {
-				v := padded[GhostWidth+i] - (flux[i+1] - flux[i])
-				g.Data[cells[i]*nc+e] = float32(v)
+				g.Data[cells[i]*nc+e] = float32(padded[GhostWidth+i])
 			}
 		}
 	}
@@ -255,20 +252,6 @@ func (b *Block) Drift(dt, a float64) error {
 		}
 	}
 	return nil
-}
-
-// velIndexAlong extracts the velocity index along axis d from a flat cube
-// element index (duplicated from package vlasov to keep the packages
-// decoupled).
-func velIndexAlong(d, e int, nu [3]int) int {
-	switch d {
-	case 0:
-		return e / (nu[1] * nu[2])
-	case 1:
-		return (e / nu[2]) % nu[1]
-	default:
-		return e % nu[2]
-	}
 }
 
 // LocalMass returns this block's total phase-space mass.

@@ -126,6 +126,19 @@ func (g *Grid) CellIndex(ix, iy, iz int) int {
 	return (ix*g.NY+iy)*g.NZ + iz
 }
 
+// VelIndexAlong returns the velocity index along axis d of the flat cube
+// element e (jx·NU1+jy)·NU2+jz.
+func (g *Grid) VelIndexAlong(d, e int) int {
+	switch d {
+	case 0:
+		return e / (g.NU[1] * g.NU[2])
+	case 1:
+		return (e / g.NU[2]) % g.NU[1]
+	default:
+		return e % g.NU[2]
+	}
+}
+
 // Cube returns the contiguous velocity cube of spatial cell (ix, iy, iz).
 func (g *Grid) Cube(ix, iy, iz int) []float32 {
 	nc := g.NCube()

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
+	"time"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -129,6 +130,28 @@ func TestMassConservation(t *testing.T) {
 	}
 	if rel := math.Abs(s.TotalMass()-m0) / m0; rel > 1e-8 {
 		t.Fatalf("mass drift %v", rel)
+	}
+}
+
+// TestStepRejectsNonFiniteState: a NaN in f makes the field, and with it
+// every kick CFL, non-finite. Step must return an error rather than spin in
+// the advection kernel, so the step runs under a deadline.
+func TestStepRejectsNonFiniteState(t *testing.T) {
+	s, err := New(16, 32, 4*math.Pi, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.LandauInit(0.01, 0.5, 1)
+	s.F[5] = math.NaN()
+	done := make(chan error, 1)
+	go func() { done <- s.Step(0.05) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Step accepted a NaN distribution")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Step on a NaN distribution did not return within 10 s")
 	}
 }
 

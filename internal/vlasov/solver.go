@@ -327,14 +327,12 @@ func (s *Solver) driftAxis(d int, dt, a float64) error {
 func (s *Solver) driftRange(w *worker, lo, hi int) error {
 	g := s.g
 	dg := &s.dg
-	nu := g.NU
 	str := dg.cellStride * dg.ncube
 	for p := lo; p < hi; p++ {
 		base := spatialPerpOffset(dg.d, p, g)
 		line := w.line[:dg.nLine]
 		for e := 0; e < dg.ncube; e++ {
-			j := velIndexAlong(dg.d, e, nu)
-			c := dg.cfl[j]
+			c := dg.cfl[g.VelIndexAlong(dg.d, e)]
 			if c == 0 {
 				continue
 			}
@@ -364,19 +362,6 @@ func spatialPerpOffset(d, p int, g *phase.Grid) int {
 		return ix*g.NY*g.NZ + iz
 	default: // lines vary iz; perp = (ix, iy)
 		return p * g.NZ
-	}
-}
-
-// velIndexAlong extracts the velocity index along axis d from a flat cube
-// element index.
-func velIndexAlong(d, e int, nu [3]int) int {
-	switch d {
-	case 0:
-		return e / (nu[1] * nu[2])
-	case 1:
-		return (e / nu[2]) % nu[1]
-	default:
-		return e % nu[2]
 	}
 }
 

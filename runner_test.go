@@ -202,6 +202,30 @@ func TestRunPlasmaLandau(t *testing.T) {
 	}
 }
 
+// TestRunHugeFixedDTFails: a fixed step whose CFL shifts past every line
+// must fail the run instead of hanging its worker in the advection kernel,
+// so the run goes under a deadline.
+func TestRunHugeFixedDTFails(t *testing.T) {
+	s, err := NewPlasmaSolver(32, 64, 4*math.Pi, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.LandauInit(0.01, 0.5, 1)
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(context.Background(), s, 1e301, WithFixedDT(1e300))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("run with fixed dt 1e300 succeeded")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run with fixed dt 1e300 did not return within 10 s")
+	}
+}
+
 // TestRunNBodyControl: the pure N-body control run (no Vlasov component)
 // drives through the same Solver interface.
 func TestRunNBodyControl(t *testing.T) {
