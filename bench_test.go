@@ -21,7 +21,6 @@ import (
 	"vlasov6d/internal/cosmo"
 	"vlasov6d/internal/fft"
 	"vlasov6d/internal/hybrid"
-	"vlasov6d/internal/kernel"
 	"vlasov6d/internal/machine"
 	"vlasov6d/internal/nbody"
 	"vlasov6d/internal/phase"
@@ -35,51 +34,44 @@ var printOnce sync.Once
 
 // ---------------------------------------------------------------- Table 1
 
-// benchSweep times one direction × mode of the Table 1 kernel study.
-func benchSweep(b *testing.B, axis int, mode kernel.Mode) {
+// benchTable1 times one direction of the Table 1 study: the production
+// SL-MPP5 axis sweep of vlasov.Solver on a 6³ × 16³ grid.
+func benchTable1(b *testing.B, dir string) {
 	b.Helper()
-	br, err := kernel.NewBrick(6, 6, 6, 24, 24, 24)
+	s, err := vlasov.NewTable1Solver(6, 16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := range br.Data {
-		br.Data[i] = 1
-	}
-	cells := len(br.Data)
-	b.SetBytes(int64(4 * cells))
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := br.Sweep(axis, mode, 0.3); err != nil {
-			b.Fatal(err)
-		}
+	r, err := vlasov.MeasureTable1Sweep(s, dir, b.N)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(cells)*kernel.FlopsPerCell*float64(b.N)/b.Elapsed().Seconds()/1e9,
-		"Gflops")
+	b.ReportMetric(r.NsPerCellSweep, "ns/cell-sweep")
+	b.ReportMetric(r.GFlops, "Gflops")
 }
 
-func BenchmarkTable1_ux_woSIMD(b *testing.B) { benchSweep(b, 3, kernel.Strided) }
-func BenchmarkTable1_ux_wSIMD(b *testing.B)  { benchSweep(b, 3, kernel.Contig) }
-func BenchmarkTable1_uy_woSIMD(b *testing.B) { benchSweep(b, 4, kernel.Strided) }
-func BenchmarkTable1_uy_wSIMD(b *testing.B)  { benchSweep(b, 4, kernel.Contig) }
-func BenchmarkTable1_uz_woSIMD(b *testing.B) { benchSweep(b, 5, kernel.Strided) }
-func BenchmarkTable1_uz_gather(b *testing.B) { benchSweep(b, 5, kernel.Contig) }
-func BenchmarkTable1_uz_LAT(b *testing.B)    { benchSweep(b, 5, kernel.LAT) }
-func BenchmarkTable1_x_woSIMD(b *testing.B)  { benchSweep(b, 0, kernel.Strided) }
-func BenchmarkTable1_x_wSIMD(b *testing.B)   { benchSweep(b, 0, kernel.Contig) }
-func BenchmarkTable1_y_wSIMD(b *testing.B)   { benchSweep(b, 1, kernel.Contig) }
-func BenchmarkTable1_z_wSIMD(b *testing.B)   { benchSweep(b, 2, kernel.Contig) }
+func BenchmarkTable1_ux(b *testing.B) { benchTable1(b, "ux") }
+func BenchmarkTable1_uy(b *testing.B) { benchTable1(b, "uy") }
+func BenchmarkTable1_uz(b *testing.B) { benchTable1(b, "uz") }
+func BenchmarkTable1_x(b *testing.B)  { benchTable1(b, "x") }
+func BenchmarkTable1_y(b *testing.B)  { benchTable1(b, "y") }
+func BenchmarkTable1_z(b *testing.B)  { benchTable1(b, "z") }
 
 // BenchmarkTable1Full prints the complete Table 1 reproduction once.
 func BenchmarkTable1Full(b *testing.B) {
+	s, err := vlasov.NewTable1Solver(6, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := kernel.Measure(kernel.Table1Config{
-			NX: 6, NY: 6, NZ: 6, NUX: 16, NUY: 16, NUZ: 16, Reps: 1,
-		})
+		rows, err := vlasov.MeasureTable1(s, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			printOnce.Do(func() { kernel.WriteTable1(os.Stdout, rows) })
+			printOnce.Do(func() { vlasov.WriteTable1(os.Stdout, rows) })
 		}
 	}
 }

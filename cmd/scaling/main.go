@@ -1,13 +1,18 @@
 // Command scaling regenerates the paper's performance artefacts: the run
-// matrix (Table 2), the per-direction SIMD/LAT kernel study (Table 1), the
-// weak and strong scaling efficiencies (Tables 3–4) and the wall-time-per-
-// step decomposition (Fig. 7), plus the §7.2 time-to-solution comparison.
+// matrix (Table 2), the per-direction sweep throughput (Table 1), the weak
+// and strong scaling efficiencies (Tables 3–4) and the wall-time-per-step
+// decomposition (Fig. 7), plus the §7.2 time-to-solution comparison.
 //
 // Usage:
 //
 //	scaling [-table1] [-runs] [-weak] [-strong] [-fig7] [-tts] [-all]
 //
-// Modelled numbers are printed next to the published values in parentheses.
+// Table 1 is measured on this machine: each row times the production
+// SL-MPP5 axis sweep of vlasov.Solver (KickAxis for ux, uy, uz; DriftAxis
+// for x, y, z) on an 8³ × 16³ grid with every core, in ns per cell-sweep
+// and Gflop/s. The other artefacts come from the calibrated Fugaku machine
+// model; modelled numbers are printed next to the published values in
+// parentheses.
 package main
 
 import (
@@ -16,15 +21,15 @@ import (
 	"log"
 	"os"
 
-	"vlasov6d/internal/kernel"
 	"vlasov6d/internal/machine"
+	"vlasov6d/internal/vlasov"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("scaling: ")
 	var (
-		table1 = flag.Bool("table1", false, "measure the Table 1 kernel study on this machine")
+		table1 = flag.Bool("table1", false, "measure Table 1 (production sweep per direction) on this machine")
 		runs   = flag.Bool("runs", false, "print the Table 2 run matrix")
 		weak   = flag.Bool("weak", false, "print Table 3 (weak scaling, model vs paper)")
 		strong = flag.Bool("strong", false, "print Table 4 (strong scaling, model vs paper)")
@@ -43,13 +48,17 @@ func main() {
 	out := os.Stdout
 
 	if *all || *table1 {
-		fmt.Fprintln(out, "Measuring Table 1 kernels (this machine's memory system; "+
-			"expect the paper's ORDERING, not its absolute Gflops)...")
-		rows, err := kernel.Measure(kernel.DefaultTable1Config())
+		fmt.Fprintln(out, "Measuring Table 1 on this machine's production SL-MPP5 sweeps "+
+			"(absolute Gflops are this host's, not A64FX's)...")
+		s, err := vlasov.NewTable1Solver(8, 16)
 		if err != nil {
 			log.Fatal(err)
 		}
-		kernel.WriteTable1(out, rows)
+		rows, err := vlasov.MeasureTable1(s, 2)
+		if err != nil {
+			log.Fatal(err)
+		}
+		vlasov.WriteTable1(out, rows)
 		fmt.Fprintln(out)
 	}
 	if *all || *runs {

@@ -157,7 +157,7 @@ func main() {
 		fmt.Printf("  ν mass          : %.6e (drift %+.1e)\n", nu1, (nu1-nu0)/nu0)
 	}
 	fmt.Printf("  step time       : %.1f s over %d steps\n", sim.Tim.Total.Seconds(), sim.Tim.Steps)
-	fmt.Printf("  part breakdown  : Vlasov %.1fs | tree %.1fs | PM %.1fs | moments %.1fs\n",
+	fmt.Printf("  part breakdown  : Vlasov %.1fs | tree %.1fs | PM (incl. moments) %.1fs | moments %.1fs\n",
 		sim.Tim.Vlasov.Seconds(), sim.Tim.Tree.Seconds(), sim.Tim.PM.Seconds(),
 		sim.Tim.Moments.Seconds())
 

@@ -94,9 +94,10 @@ func TestMassConservationLargeCFL(t *testing.T) {
 }
 
 func TestIntegerShiftIsExact(t *testing.T) {
-	// With an integer CFL the semi-Lagrangian update is an exact shift.
+	// With an integer CFL the semi-Lagrangian update is an exact shift (the
+	// identity at c = 0).
 	s := NewSLMPP5()
-	for _, c := range []float64{1, 3, -2, -5} {
+	for _, c := range []float64{0, 1, 3, -2, -5} {
 		n := 32
 		f := make([]float64, n)
 		rng := rand.New(rand.NewSource(1))
@@ -163,6 +164,31 @@ func TestSLMPP5UnlimitedFifthOrder(t *testing.T) {
 	rate := convergenceRate(t, s, 32, 0.4)
 	if rate < 4.6 {
 		t.Fatalf("unlimited CSL5 convergence order %v, want ≥ 4.6", rate)
+	}
+}
+
+// TestSLMPP5ShiftsSineOnePeriod advects a smooth profile one full period at
+// CFL 0.5, rounding to float32 after every step as the solver's storage
+// does, and requires it to return to itself with only high-order error,
+// with and without the limiters.
+func TestSLMPP5ShiftsSineOnePeriod(t *testing.T) {
+	const n = 64
+	for _, s := range []*SLMPP5{NewSLMPP5(), {DisableMP: true, DisablePP: true}} {
+		line := sineLine(n)
+		orig := append([]float64(nil), line...)
+		for it := 0; it < 2*n; it++ {
+			if err := s.Step(line, 0.5); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range line {
+				line[i] = float64(float32(v))
+			}
+		}
+		for i := range line {
+			if d := math.Abs(line[i] - orig[i]); d > 1e-3 {
+				t.Fatalf("DisableMP=%v: cell %d error %v after one period", s.DisableMP, i, d)
+			}
+		}
 	}
 }
 

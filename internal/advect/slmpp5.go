@@ -36,6 +36,13 @@ type SLMPP5 struct {
 	DisablePP bool
 }
 
+// SLMPP5FlopsPerCell is the computed cost of one SL-MPP5 cell update on the
+// smooth path (sub-cell CFL, MP limiter not engaged), counted from this
+// file: primitive-function sums 5, quintic Lagrange 35 (6 offsets,
+// 5 products, 6×(div, mul, div, add)), raw flux 1, swept average 1,
+// CFL-adaptive α 3, MP bound test 8, flux 1, conservative update 2.
+const SLMPP5FlopsPerCell = 56
+
 // NewSLMPP5 returns the scheme with MP and PP limiting enabled.
 func NewSLMPP5() *SLMPP5 { return &SLMPP5{} }
 

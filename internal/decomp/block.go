@@ -106,28 +106,12 @@ func (b *Block) packPlanes(axis, from, count int) []float32 {
 }
 
 // forEachPlaneCell visits the flat spatial index of every cell in the
-// perpendicular plane at position idx along axis, in a fixed order.
+// perpendicular plane at position idx along axis, in the line order of
+// phase.Grid.ColumnStart (the order DriftAxis reads ghost planes in).
 func (b *Block) forEachPlaneCell(axis, idx int, fn func(cell int)) {
-	g := b.G
-	switch axis {
-	case 0:
-		for iy := 0; iy < g.NY; iy++ {
-			for iz := 0; iz < g.NZ; iz++ {
-				fn(g.CellIndex(idx, iy, iz))
-			}
-		}
-	case 1:
-		for ix := 0; ix < g.NX; ix++ {
-			for iz := 0; iz < g.NZ; iz++ {
-				fn(g.CellIndex(ix, idx, iz))
-			}
-		}
-	default:
-		for ix := 0; ix < g.NX; ix++ {
-			for iy := 0; iy < g.NY; iy++ {
-				fn(g.CellIndex(ix, iy, idx))
-			}
-		}
+	off := idx * b.cellStride(axis)
+	for p := 0; p < b.G.NCells()/b.localN(axis); p++ {
+		fn(b.G.ColumnStart(axis, p) + off)
 	}
 }
 
@@ -184,30 +168,16 @@ func (b *Block) DriftAxis(axis int, dt, a float64) error {
 	// For each perpendicular cell column p (index within a plane) and cube
 	// element e, assemble the padded line and update in place.
 	padded := make([]float64, n+2*GhostWidth)
-	// Cell offsets along the line for column p: need the flat cell index at
-	// (line position i, column p). Build a lookup per column.
-	colCells := make([][]int, planeCells)
-	{
-		p := 0
-		// Column order must match packPlanes' plane-cell order.
-		b.forEachPlaneCell(axis, 0, func(cell0 int) {
-			cells := make([]int, n)
-			for i := 0; i < n; i++ {
-				cells[i] = cell0 + i*b.cellStride(axis)
-			}
-			colCells[p] = cells
-			p++
-		})
-	}
+	stride := b.cellStride(axis)
 	for p := 0; p < planeCells; p++ {
-		cells := colCells[p]
+		cell0 := g.ColumnStart(axis, p) // the ghost planes' order too
 		for e := 0; e < nc; e++ {
 			c := cfl[g.VelIndexAlong(axis, e)]
 			if c == 0 {
 				continue
 			}
 			for i := 0; i < n; i++ {
-				padded[GhostWidth+i] = float64(g.Data[cells[i]*nc+e])
+				padded[GhostWidth+i] = float64(g.Data[(cell0+i*stride)*nc+e])
 			}
 			for k := 0; k < GhostWidth; k++ {
 				padded[k] = float64(lo[(k*planeCells+p)*nc+e])
@@ -217,7 +187,7 @@ func (b *Block) DriftAxis(axis int, dt, a float64) error {
 				return err
 			}
 			for i := 0; i < n; i++ {
-				g.Data[cells[i]*nc+e] = float32(padded[GhostWidth+i])
+				g.Data[(cell0+i*stride)*nc+e] = float32(padded[GhostWidth+i])
 			}
 		}
 	}

@@ -177,8 +177,12 @@ func (c *Config) Validate() error {
 // Timings accumulates wall-clock time per simulation part (the paper's
 // Fig. 7 decomposition).
 type Timings struct {
-	Vlasov  time.Duration
-	Tree    time.Duration
+	Vlasov time.Duration
+	Tree   time.Duration
+	// PM covers the whole density-mesh and PM force path of computeForces,
+	// including the neutrino moment reduction that NeutrinoDensityPM runs
+	// inside it; that reduction is also counted in Moments, so PM and
+	// Moments overlap and PM − Moments is the PM solve proper.
 	PM      time.Duration
 	Moments time.Duration
 	Total   time.Duration

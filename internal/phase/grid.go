@@ -139,6 +139,20 @@ func (g *Grid) VelIndexAlong(d, e int) int {
 	}
 }
 
+// ColumnStart returns the flat spatial index of the first cell of the p-th
+// line along axis d. Lines are numbered row-major over the two other axes:
+// (iy, iz) for d = 0, (ix, iz) for d = 1, (ix, iy) for d = 2.
+func (g *Grid) ColumnStart(d, p int) int {
+	switch d {
+	case 0:
+		return p
+	case 1:
+		return p/g.NZ*g.NY*g.NZ + p%g.NZ
+	default:
+		return p * g.NZ
+	}
+}
+
 // Cube returns the contiguous velocity cube of spatial cell (ix, iy, iz).
 func (g *Grid) Cube(ix, iy, iz int) []float32 {
 	nc := g.NCube()

@@ -50,6 +50,28 @@ func TestLayoutAndSizes(t *testing.T) {
 	}
 }
 
+// TestColumnStart checks that the p-th line along each axis starts at the
+// cell whose other two indices are p in row-major order.
+func TestColumnStart(t *testing.T) {
+	g := smallGrid(t)
+	for d := 0; d < 3; d++ {
+		p := 0
+		for ix := 0; ix < g.NX; ix++ {
+			for iy := 0; iy < g.NY; iy++ {
+				for iz := 0; iz < g.NZ; iz++ {
+					if [3]int{ix, iy, iz}[d] != 0 {
+						continue
+					}
+					if got, want := g.ColumnStart(d, p), g.CellIndex(ix, iy, iz); got != want {
+						t.Fatalf("axis %d line %d starts at %d, want %d", d, p, got, want)
+					}
+					p++
+				}
+			}
+		}
+	}
+}
+
 func TestCoordinates(t *testing.T) {
 	g := smallGrid(t)
 	if dx := g.DX(0); math.Abs(dx-25) > 1e-14 {

@@ -43,7 +43,7 @@ type Solver struct {
 	// grown on demand and reused across steps so steady-state stepping
 	// allocates nothing.
 	pool []*worker
-	// cfl is the reusable per-velocity-index CFL table of driftAxis.
+	// cfl is the reusable per-velocity-index CFL table of DriftAxis.
 	cfl []float64
 	// kg/dg carry the geometry of the sweep in flight: written before the
 	// serial or parallel range calls of one axis, read-only during them
@@ -169,16 +169,16 @@ func (s *Solver) Step(dt, a float64, acc [3][]float64) error {
 	return s.KickHalf(dt, acc)
 }
 
-// KickHalf applies the three velocity-space advections for dt/2.
+// KickHalf applies the three velocity-space advections for dt/2. Every
+// acc[d] is checked before any axis moves.
 func (s *Solver) KickHalf(dt float64, acc [3][]float64) error {
-	ncell := s.g.NCells()
 	for d := 0; d < 3; d++ {
-		if len(acc[d]) != ncell {
-			return fmt.Errorf("vlasov: acc[%d] length %d != %d cells", d, len(acc[d]), ncell)
+		if err := s.checkAcc(d, acc[d]); err != nil {
+			return err
 		}
 	}
 	for d := 0; d < 3; d++ {
-		if err := s.kickAxis(d, dt/2, acc[d]); err != nil {
+		if err := s.KickAxis(d, dt/2, acc[d]); err != nil {
 			return err
 		}
 	}
@@ -188,17 +188,32 @@ func (s *Solver) KickHalf(dt float64, acc [3][]float64) error {
 // Drift applies the three position-space advections for dt.
 func (s *Solver) Drift(dt, a float64) error {
 	for d := 0; d < 3; d++ {
-		if err := s.driftAxis(d, dt, a); err != nil {
+		if err := s.DriftAxis(d, dt, a); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// kickAxis advects every velocity cube along velocity axis d with the
-// per-cell CFL  c = acc·dt / Δu  (the minus sign of eq. (4) is carried by
-// the advection velocity being −∂φ/∂x = acc).
-func (s *Solver) kickAxis(d int, dt float64, accD []float64) error {
+// checkAcc validates a velocity axis and its per-cell acceleration array.
+func (s *Solver) checkAcc(d int, acc []float64) error {
+	if d < 0 || d > 2 {
+		return fmt.Errorf("vlasov: velocity axis %d out of range [0, 3)", d)
+	}
+	if n := s.g.NCells(); len(acc) != n {
+		return fmt.Errorf("vlasov: acc[%d] length %d != %d cells", d, len(acc), n)
+	}
+	return nil
+}
+
+// KickAxis advects every velocity cube along velocity axis d (0, 1, 2 for
+// ux, uy, uz) for dt with the per-cell CFL  c = acc·dt / Δu  (the minus
+// sign of eq. (4) is carried by the advection velocity being
+// −∂φ/∂x = acc). acc holds one acceleration per spatial cell.
+func (s *Solver) KickAxis(d int, dt float64, acc []float64) error {
+	if err := s.checkAcc(d, acc); err != nil {
+		return err
+	}
 	g := s.g
 	nu := g.NU
 	// Line geometry within a cube for axis d.
@@ -211,7 +226,7 @@ func (s *Solver) kickAxis(d int, dt float64, accD []float64) error {
 	default:
 		nLine, stride, nPerp = nu[2], 1, nu[0]*nu[1]
 	}
-	s.kg = kickGeom{dt: dt, du: g.DU(d), acc: accD, nLine: nLine, stride: stride, nPerp: nPerp, d: d}
+	s.kg = kickGeom{dt: dt, du: g.DU(d), acc: acc, nLine: nLine, stride: stride, nPerp: nPerp, d: d}
 	ncell := g.NCells()
 	nw := s.clampWorkers(ncell)
 	if nw <= 1 {
@@ -279,11 +294,14 @@ func perpOffset(d, p int, nu [3]int) int {
 	}
 }
 
-// driftAxis advects along spatial axis d with per-velocity-index CFL
-// c = u_d·dt/(a²·Δx). Lines are periodic across the (single-block) box; the
-// decomposed version exchanges ghosts in package decomp before calling the
-// same kernels.
-func (s *Solver) driftAxis(d int, dt, a float64) error {
+// DriftAxis advects along spatial axis d (0, 1, 2 for x, y, z) for dt at
+// scale factor a with per-velocity-index CFL c = u_d·dt/(a²·Δx). Lines are
+// periodic across the (single-block) box; the decomposed version exchanges
+// ghosts in package decomp before calling the same kernels.
+func (s *Solver) DriftAxis(d int, dt, a float64) error {
+	if d < 0 || d > 2 {
+		return fmt.Errorf("vlasov: spatial axis %d out of range [0, 3)", d)
+	}
 	g := s.g
 	dx := g.DX(d)
 	nu := g.NU
@@ -329,7 +347,7 @@ func (s *Solver) driftRange(w *worker, lo, hi int) error {
 	dg := &s.dg
 	str := dg.cellStride * dg.ncube
 	for p := lo; p < hi; p++ {
-		base := spatialPerpOffset(dg.d, p, g)
+		base := g.ColumnStart(dg.d, p)
 		line := w.line[:dg.nLine]
 		for e := 0; e < dg.ncube; e++ {
 			c := dg.cfl[g.VelIndexAlong(dg.d, e)]
@@ -349,20 +367,6 @@ func (s *Solver) driftRange(w *worker, lo, hi int) error {
 		}
 	}
 	return nil
-}
-
-// spatialPerpOffset returns the flat spatial cell index of the p-th
-// perpendicular column for axis d (the column's first cell).
-func spatialPerpOffset(d, p int, g *phase.Grid) int {
-	switch d {
-	case 0: // lines vary ix; perp = (iy, iz)
-		return p
-	case 1: // lines vary iy; perp = (ix, iz)
-		ix, iz := p/g.NZ, p%g.NZ
-		return ix*g.NY*g.NZ + iz
-	default: // lines vary iz; perp = (ix, iy)
-		return p * g.NZ
-	}
 }
 
 // worker carries per-goroutine scratch.
